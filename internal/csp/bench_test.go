@@ -13,22 +13,33 @@ import (
 // predictor lookahead — both sit on the per-task hot path, so their cost
 // at large in-flight windows bounds pipeline throughput.
 
-// benchScheduler builds a stage-0 scheduler with n registered subnets
-// from the headline NLP space.
-func benchScheduler(b testing.TB, n int) (*Scheduler, []int) {
-	b.Helper()
+// benchInfos builds stage 0's view of n subnets sampled from the
+// headline NLP space on a depth-stage balanced pipeline.
+func benchInfos(tb testing.TB, n, depth int) []SubnetInfo {
+	tb.Helper()
 	sn := supernet.Build(supernet.NLPc1)
 	subs := supernet.Sample(supernet.NLPc1, 3, n)
-	s := New(0)
-	for _, sub := range subs {
-		p := partition.BalancedForSubnet(sn, sub, 8)
+	infos := make([]SubnetInfo, len(subs))
+	for i, sub := range subs {
+		p := partition.BalancedForSubnet(sn, sub, depth)
 		lo, hi := p.Blocks(0)
 		var stageIDs []supernet.LayerID
 		for blk := lo; blk < hi; blk++ {
 			stageIDs = append(stageIDs, sn.Space.ID(blk, sub.Choices[blk]))
 		}
-		if err := s.AddSubnet(SubnetInfo{Seq: sub.Seq, AllLayers: sub.LayerIDs(sn.Space), StageLayers: stageIDs}); err != nil {
-			b.Fatal(err)
+		infos[i] = SubnetInfo{Seq: sub.Seq, AllLayers: sub.LayerIDs(sn.Space), StageLayers: stageIDs}
+	}
+	return infos
+}
+
+// benchScheduler builds a stage-0 scheduler with n registered subnets
+// from the headline NLP space on an 8-stage pipeline.
+func benchScheduler(tb testing.TB, n int) (*Scheduler, []int) {
+	tb.Helper()
+	s := New(0)
+	for _, info := range benchInfos(tb, n, 8) {
+		if err := s.AddSubnet(info); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	queue := make([]int, n)

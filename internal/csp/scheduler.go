@@ -19,6 +19,7 @@ package csp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"naspipe/internal/supernet"
@@ -47,9 +48,12 @@ type Scheduler struct {
 	// eliminated from the dependency check (the paper's elimination
 	// scheme keeping |L_f| ~ |L_q|).
 	frontier int
-	// users maps each layer to the set of *active* (registered, not yet
-	// eliminated) subnet sequence IDs that select it.
-	users map[supernet.LayerID]map[int]bool
+	// users is indexed by LayerID: the *active* subnets that select the
+	// layer (registered, not yet eliminated, WRITE not yet marked), as
+	// ascending sequence IDs. Algorithm 2 only asks whether an *earlier*
+	// subnet holds a layer, so a scan stops at the first entry >= the
+	// candidate instead of visiting every later user.
+	users [][]int
 
 	// Scheduling-pressure counters (see Stats). A Scheduler is owned by a
 	// single stage — one simulator loop or one stage goroutine — so plain
@@ -65,7 +69,6 @@ func New(stage int) *Scheduler {
 		stage:    stage,
 		subnets:  make(map[int]*SubnetInfo),
 		finished: make(map[int]bool),
-		users:    make(map[supernet.LayerID]map[int]bool),
 	}
 }
 
@@ -80,14 +83,23 @@ func (s *Scheduler) Frontier() int { return s.frontier }
 func (s *Scheduler) Active() int { return len(s.subnets) }
 
 // AddSubnet registers a subnet retrieved from the exploration frontend
-// (Algorithm 1 line 14). Subnets must be added in sequence order with no
-// gaps; this mirrors the producer-consumer retrieve() contract.
+// (Algorithm 1 line 14). Subnets normally arrive in sequence order, as
+// the producer-consumer retrieve() contract hands them out; one that
+// arrives out of order is inserted in place, so the per-layer index
+// stays ascending either way.
 func (s *Scheduler) AddSubnet(info SubnetInfo) error {
 	if info.Seq < s.frontier {
 		return fmt.Errorf("csp: subnet %d below frontier %d", info.Seq, s.frontier)
 	}
 	if _, dup := s.subnets[info.Seq]; dup {
 		return fmt.Errorf("csp: subnet %d already registered", info.Seq)
+	}
+	for _, ids := range [][]supernet.LayerID{info.AllLayers, info.StageLayers} {
+		for _, l := range ids {
+			if l < 0 {
+				return fmt.Errorf("csp: subnet %d selects negative layer %d", info.Seq, l)
+			}
+		}
 	}
 	cp := &SubnetInfo{
 		Seq:         info.Seq,
@@ -96,14 +108,35 @@ func (s *Scheduler) AddSubnet(info SubnetInfo) error {
 	}
 	s.subnets[info.Seq] = cp
 	for _, l := range cp.AllLayers {
-		set := s.users[l]
-		if set == nil {
-			set = make(map[int]bool)
-			s.users[l] = set
+		if int(l) >= len(s.users) {
+			s.users = append(s.users, make([][]int, int(l)+1-len(s.users))...)
 		}
-		set[info.Seq] = true
+		us := s.users[l]
+		if n := len(us); n == 0 || us[n-1] < info.Seq {
+			s.users[l] = append(us, info.Seq)
+			continue
+		}
+		if i := sort.SearchInts(us, info.Seq); us[i] != info.Seq {
+			s.users[l] = slices.Insert(us, i, info.Seq)
+		}
 	}
 	return nil
+}
+
+// unuse drops seq from layer l's users, if it is there.
+func (s *Scheduler) unuse(l supernet.LayerID, seq int) {
+	if l < 0 || int(l) >= len(s.users) {
+		return
+	}
+	us := s.users[l]
+	if len(us) > 0 && us[0] == seq {
+		// The common case: the layer's oldest user retires first.
+		s.users[l] = us[1:]
+		return
+	}
+	if i := sort.SearchInts(us, seq); i < len(us) && us[i] == seq {
+		s.users[l] = slices.Delete(us, i, i+1)
+	}
 }
 
 // MarkFinished records that the subnet's backward pass (its WRITE) has
@@ -129,12 +162,7 @@ func (s *Scheduler) MarkFinished(seq int) {
 // on different stages.
 func (s *Scheduler) MarkWritten(seq int, ids []supernet.LayerID) {
 	for _, l := range ids {
-		if set := s.users[l]; set != nil {
-			delete(set, seq)
-			if len(set) == 0 {
-				delete(s.users, l)
-			}
-		}
+		s.unuse(l, seq)
 	}
 }
 
@@ -144,12 +172,7 @@ func (s *Scheduler) eliminate(seq int) {
 	info := s.subnets[seq]
 	if info != nil {
 		for _, l := range info.AllLayers {
-			if set := s.users[l]; set != nil {
-				delete(set, seq)
-				if len(set) == 0 {
-					delete(s.users, l)
-				}
-			}
+			s.unuse(l, seq)
 		}
 	}
 	delete(s.subnets, seq)
@@ -166,20 +189,7 @@ func (s *Scheduler) Finished(seq int) bool {
 // unfinished earlier subnet. This is Algorithm 2's inner check (lines
 // 4–10) with the per-layer index replacing the linear scan.
 func (s *Scheduler) Blocked(seq int) bool {
-	info := s.subnets[seq]
-	if info == nil {
-		// Unknown subnet: conservatively blocked; the caller has not
-		// registered it yet, so its dependencies cannot be checked.
-		return true
-	}
-	for _, l := range info.StageLayers {
-		for w := range s.users[l] {
-			if w < seq && !s.Finished(w) {
-				return true
-			}
-		}
-	}
-	return false
+	return s.blockedAssuming(seq, nil)
 }
 
 // BlockingWriter returns the smallest unfinished earlier subnet that
@@ -192,15 +202,37 @@ func (s *Scheduler) BlockingWriter(seq int) int {
 	}
 	min := -1
 	for _, l := range info.StageLayers {
-		for w := range s.users[l] {
-			if w < seq && !s.Finished(w) {
-				if min == -1 || w < min {
-					min = w
-				}
-			}
+		if w := s.earliestWriter(l, seq, nil); w >= 0 && (min == -1 || w < min) {
+			min = w
 		}
 	}
 	return min
+}
+
+// earliestWriter returns the smallest subnet below seq that still
+// holds layer l — its WRITE is pending and it has not finished — and
+// is not in assume; -1 if there is none. users[l] is ascending, so the
+// first such entry is the smallest and the scan ends at seq.
+func (s *Scheduler) earliestWriter(l supernet.LayerID, seq int, assume []int) int {
+	if int(l) >= len(s.users) {
+		return -1
+	}
+users:
+	for _, w := range s.users[l] {
+		if w >= seq {
+			break
+		}
+		if s.Finished(w) {
+			continue
+		}
+		for _, f := range assume {
+			if f == w {
+				continue users
+			}
+		}
+		return w
+	}
+	return -1
 }
 
 // Schedule is Algorithm 2: scan the queue in order and return the
@@ -252,22 +284,18 @@ func (s *Scheduler) ScheduleAssuming(queue []int, finished ...int) (qidx, qval i
 	return -1, -1
 }
 
+// blockedAssuming is Blocked with the subnets in assume treated as
+// finished; an unknown subnet is conservatively blocked, because the
+// caller has not registered it yet and its dependencies cannot be
+// checked.
 func (s *Scheduler) blockedAssuming(seq int, assume []int) bool {
 	info := s.subnets[seq]
 	if info == nil {
 		return true
 	}
 	for _, l := range info.StageLayers {
-	users:
-		for w := range s.users[l] {
-			if w < seq && !s.Finished(w) {
-				for _, f := range assume {
-					if f == w {
-						continue users
-					}
-				}
-				return true
-			}
+		if s.earliestWriter(l, seq, assume) >= 0 {
+			return true
 		}
 	}
 	return false

@@ -125,6 +125,20 @@ func TestAddDuplicateRejected(t *testing.T) {
 	}
 }
 
+// TestAddNegativeLayerRejected: the per-layer index is a slice indexed
+// by LayerID, so a negative ID is refused at registration, before it
+// touches any state.
+func TestAddNegativeLayerRejected(t *testing.T) {
+	s := New(0)
+	if err := s.AddSubnet(SubnetInfo{Seq: 0, AllLayers: []supernet.LayerID{2, -1}, StageLayers: []supernet.LayerID{2}}); err == nil {
+		t.Fatal("expected negative-layer error")
+	}
+	if s.Active() != 0 {
+		t.Fatalf("rejected subnet left %d registered", s.Active())
+	}
+	mustAdd(t, s, info(0, 2))
+}
+
 func TestUnknownSubnetConservativelyBlocked(t *testing.T) {
 	s := New(0)
 	if !s.Blocked(5) {

@@ -230,6 +230,9 @@ type fleetState struct {
 	allDone chan struct{}
 	deaths  chan workerExit
 	failed  chan *transport.Failed
+	// recFailed carries the first failed checkpoint save; the run
+	// fails on it rather than finishing on a stale checkpoint file.
+	recFailed chan error
 }
 
 func newFleetState(gpus int) *fleetState {
@@ -241,6 +244,7 @@ func newFleetState(gpus int) *fleetState {
 		allDone:   make(chan struct{}),
 		deaths:    make(chan workerExit, gpus),
 		failed:    make(chan *transport.Failed, gpus),
+		recFailed: make(chan error, 1),
 	}
 	now := time.Now()
 	for k := range st.beats {
@@ -416,7 +420,19 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 			c.reapFleet(procs)
 			cancel()
 			pumps.Wait()
+			select {
+			case err := <-st.recFailed: // a save that failed after the last Done
+				return res, err
+			default:
+			}
 			return c.finish(res, gpus, cursor, st, start)
+		case err := <-st.recFailed:
+			// Not survivable by relaunch: the next incarnation would
+			// save to the same place.
+			c.killFleet(procs, links, "checkpoint save failed")
+			cancel()
+			pumps.Wait()
+			return res, err
 		case f := <-st.failed:
 			if f.Kind == "crash" {
 				return res, c.incidentErr(procs, links, &pumps, cancel,
@@ -472,7 +488,11 @@ func (c *Coordinator) finish(res engine.Result, gpus, cursor int, st *fleetState
 		}
 		parts = append(parts, &trace.Trace{Events: d.Trace})
 	}
-	res.ObservedTrace = engine.MergeStageTraces(gpus, cursor, parts)
+	merged, err := engine.MergeTraces(gpus, cursor, parts)
+	if err != nil {
+		return res, fmt.Errorf("distrib: %w", err)
+	}
+	res.ObservedTrace = merged
 	res.TotalMs = float64(time.Since(start)) / float64(time.Millisecond)
 	if res.TotalMs > 0 {
 		res.SubnetsPerHour = float64(res.Completed) / (res.TotalMs / 3.6e6)
@@ -616,7 +636,10 @@ func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
 				cut, err := transport.DecodeCut(f.Payload)
 				if err == nil {
 					if rerr := c.record(cut); rerr != nil {
-						c.logf("coordinator: checkpoint save failed: %v", rerr)
+						select {
+						case st.recFailed <- fmt.Errorf("distrib: checkpoint recorder: %w", rerr):
+						default: // an earlier failure already fails the run
+						}
 					}
 				}
 			case transport.FrameHeartbeat:

@@ -26,7 +26,7 @@
 // Verification composes across the fleet: each worker checks its local
 // per-layer projection inside the engine, reports its observed trace
 // in its Done frame, and the coordinator topologically merges the
-// fleet's traces (engine.MergeStageTraces) into one global observation
+// fleet's traces (engine.MergeTraces) into one global observation
 // that replays against the sequential reference.
 package distrib
 

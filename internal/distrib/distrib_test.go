@@ -2,13 +2,17 @@ package distrib_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"naspipe"
 	"naspipe/internal/distrib"
 	"naspipe/internal/engine"
+	"naspipe/internal/fault"
 	"naspipe/internal/supervise"
 	"naspipe/internal/train"
 )
@@ -95,7 +99,10 @@ func TestFleetMatchesSequentialBitwise(t *testing.T) {
 // mid-run abrupt kill of one stage worker (no farewell frame — the
 // connection just dies) must be detected, the fleet torn down and
 // relaunched from the committed cursor, and the final result must
-// still verify bitwise against the sequential reference.
+// still verify bitwise against the sequential reference. The kill fires
+// on observed progress — the first commit on disk — not on a timer, so
+// it lands mid-run however fast the machine is, and the relaunch must
+// resume past that commit.
 func TestFleetSurvivesWorkerKill(t *testing.T) {
 	spec := distSpec(t, 12)
 	spec.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
@@ -109,7 +116,7 @@ func TestFleetSurvivesWorkerKill(t *testing.T) {
 	killer := &killingLauncher{
 		InProcLauncher: distrib.InProcLauncher{Log: t.Logf},
 		victim:         2,
-		after:          30 * time.Millisecond,
+		ckpt:           spec.Checkpoint,
 	}
 	co, err := distrib.NewCoordinator(distrib.CoordConfig{
 		Spec: spec, RunID: "kill-test", Launcher: killer, Log: t.Logf,
@@ -126,6 +133,9 @@ func TestFleetSurvivesWorkerKill(t *testing.T) {
 	}
 	if rep.Restarts < 1 {
 		t.Fatalf("expected at least one fleet restart, got %d", rep.Restarts)
+	}
+	if res.BaseSeq < 1 {
+		t.Fatalf("final incarnation started at cursor %d; the kill came after the first commit", res.BaseSeq)
 	}
 	if rep.FinalState != supervise.Done {
 		t.Fatalf("final state %v, want Done", rep.FinalState)
@@ -190,12 +200,13 @@ func TestFleetResumeAcrossCoordinators(t *testing.T) {
 }
 
 // killingLauncher wraps the in-process launcher and kills the victim
-// stage's first-incarnation worker after a delay — abruptly, like
-// kill -9: the worker sends nothing, its connection simply dies.
+// stage's first-incarnation worker once the checkpoint at ckpt shows a
+// committed cursor of at least 1 — abruptly, like kill -9: the worker
+// sends nothing, its connection simply dies.
 type killingLauncher struct {
 	distrib.InProcLauncher
 	victim int
-	after  time.Duration
+	ckpt   string
 }
 
 func (l *killingLauncher) Start(ctx context.Context, w distrib.WorkerSpec) (distrib.Process, error) {
@@ -205,9 +216,60 @@ func (l *killingLauncher) Start(ctx context.Context, w distrib.WorkerSpec) (dist
 	}
 	if w.Stage == l.victim && w.Incarnation == 0 {
 		go func() {
-			time.Sleep(l.after)
-			p.Kill()
+			for ctx.Err() == nil {
+				if ck, err := fault.Load(l.ckpt); err == nil && ck.Cursor >= 1 {
+					p.Kill()
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
 		}()
 	}
 	return p, nil
+}
+
+// TestFleetCheckpointSaveFailureFailsRun: when the coordinator cannot
+// save a cut — here the checkpoint directory vanishes after Init — the
+// run fails with an error naming the checkpoint, instead of finishing
+// on a stale file.
+func TestFleetCheckpointSaveFailureFailsRun(t *testing.T) {
+	spec := distSpec(t, 12)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec.Checkpoint = filepath.Join(dir, "fleet.ckpt")
+	co, err := distrib.NewCoordinator(distrib.CoordConfig{
+		Spec: spec, RunID: "save-fail-test", Log: t.Logf,
+		Launcher: &dirRemovingLauncher{InProcLauncher: distrib.InProcLauncher{Log: t.Logf}, dir: dir},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	_, _, err = co.Run(ctx)
+	if err == nil {
+		t.Fatal("fleet run reported success although no checkpoint save succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "distrib: checkpoint recorder: ") || !strings.Contains(msg, spec.Checkpoint) {
+		t.Fatalf("error %q does not attribute the failure to the checkpoint at %s", msg, spec.Checkpoint)
+	}
+}
+
+// dirRemovingLauncher removes dir before launching the first worker:
+// after the coordinator's checkpoint Init, before any cut arrives.
+type dirRemovingLauncher struct {
+	distrib.InProcLauncher
+	dir  string
+	once sync.Once
+}
+
+func (l *dirRemovingLauncher) Start(ctx context.Context, w distrib.WorkerSpec) (distrib.Process, error) {
+	var err error
+	l.once.Do(func() { err = os.RemoveAll(l.dir) })
+	if err != nil {
+		return nil, err
+	}
+	return l.InProcLauncher.Start(ctx, w)
 }

@@ -206,10 +206,12 @@ type ccRun struct {
 	crashOnce sync.Once
 	crashErr  *fault.CrashError
 
-	// Checkpoint plane: rec receives consistency cuts as stage 0's
-	// backward frontier advances. lastCut/recErr are touched only by the
-	// stage-0 goroutine; RunConcurrent reads them after wg.Wait.
-	rec     fault.Recorder
+	// Checkpoint plane: stage 0 offers a consistency cut to commit each
+	// time its backward frontier advances, and commit hands the cuts to
+	// Config.Checkpoint off the stage-0 goroutine (nil = no recorder).
+	// lastCut is touched only by the stage-0 goroutine; recErr is set by
+	// the committer's drain after wg.Wait.
+	commit  *committer
 	lastCut int
 	recErr  error
 
@@ -262,7 +264,7 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	c := &ccRun{cfg: cfg, w: w, base: cfg.SeqBase, rec: cfg.Checkpoint, probe: cfg.Probe, dist: cfg.Dist}
+	c := &ccRun{cfg: cfg, w: w, base: cfg.SeqBase, probe: cfg.Probe, dist: cfg.Dist}
 	local := make([]bool, w.D)
 	if c.dist != nil {
 		if err := c.dist.validate(w.D); err != nil {
@@ -281,7 +283,18 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		}
 	}
 	if cfg.RecordTrace {
-		c.obs = &trace.Trace{}
+		// Sized for every access the local stages will emit: the trace
+		// is the run's largest allocation, so it should not grow by
+		// copying.
+		events := 0
+		for i := range w.Subnets {
+			for k, ok := range local {
+				if ok {
+					events += 2 * len(w.stageIDs[i][k])
+				}
+			}
+		}
+		c.obs = &trace.Trace{Events: make([]trace.Event, 0, events)}
 	}
 	n := len(w.Subnets)
 	tel := cfg.Telemetry
@@ -380,6 +393,15 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 			c.prefetchLoop(s, stopFetch)
 		}(s)
 	}
+	if cfg.Checkpoint != nil {
+		c.commit = startCommitter(cfg.Checkpoint, func(cut fault.Cut) {
+			c.tel.Emit(telemetry.Event{
+				Op: telemetry.OpCheckpoint, Phase: telemetry.PhaseInstant,
+				Stage: 0, Worker: telemetry.WorkerStage,
+				Subnet: int32(cut.Cursor), Kind: telemetry.KindNone, Arg: int64(cut.Cursor),
+			})
+		}, func() { c.crashed.Store(true) })
+	}
 	var wg sync.WaitGroup
 	for _, s := range c.stages {
 		if s == nil {
@@ -392,6 +414,11 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		}(s)
 	}
 	wg.Wait() // establishes happens-before: stage state is safe to read below
+	if c.commit != nil {
+		// Every exit path passes here: the last offered cut is with the
+		// recorder before RunConcurrent returns.
+		c.recErr = c.commit.drain()
+	}
 	stopPumps()
 	close(stopFetch)
 	fwg.Wait()
@@ -883,13 +910,14 @@ func (c *ccRun) transport(s *ccStage, kind int8, seq int, deliver func()) {
 	}
 }
 
-// snapshotCut hands the stage-0 backward frontier to the checkpoint
-// recorder when it advanced: subnets below the frontier are fully
-// retired — their WRITEs are in the committed sequential prefix — so
-// (frontier, finished-gaps) is a crash-consistent cut. Called only by
-// the stage-0 goroutine, after the frontier-advancing self-apply.
+// snapshotCut offers the stage-0 backward frontier to the committer
+// when it advanced: subnets below the frontier are fully retired — their
+// WRITEs are in the committed sequential prefix — so (frontier,
+// finished-gaps) is a crash-consistent cut. Called only by the stage-0
+// goroutine, after the frontier-advancing self-apply; it does not wait
+// for the recorder.
 func (c *ccRun) snapshotCut(s *ccStage) {
-	if c.rec == nil {
+	if c.commit == nil {
 		return
 	}
 	f := s.sched.Frontier()
@@ -901,14 +929,7 @@ func (c *ccRun) snapshotCut(s *ccStage) {
 	for _, seq := range s.sched.FinishedSeqs() {
 		cut.Finished = append(cut.Finished, c.base+seq)
 	}
-	if err := c.rec.Snapshot(cut); err != nil {
-		if c.recErr == nil {
-			c.recErr = err
-		}
-		c.crashed.Store(true)
-		return
-	}
-	s.telFault(telemetry.OpCheckpoint, c.base+f, telemetry.KindNone, int64(c.base+f))
+	c.commit.offer(cut)
 }
 
 // runBackward executes the lowest-sequence ready backward, emits its
@@ -1176,7 +1197,13 @@ func (c *ccRun) emit(ids []supernet.LayerID, seq, stage int, kind trace.AccessKi
 // normalization of every CSP-compliant interleaving. The replay trainer
 // consumes it directly.
 func CanonicalTrace(w *World) *trace.Trace {
-	tr := &trace.Trace{}
+	events := 0
+	for seq := range w.Subnets {
+		for _, ids := range w.stageIDs[seq] {
+			events += 2 * len(ids)
+		}
+	}
+	tr := &trace.Trace{Events: make([]trace.Event, 0, events)}
 	for seq := range w.Subnets {
 		for k := 0; k < w.D; k++ {
 			for _, id := range w.stageIDs[seq][k] {

@@ -23,16 +23,16 @@
 // necessary but not sufficient — stage partitions are per-subnet, so a
 // layer's accesses can straddle workers — which is why the coordinator
 // (internal/distrib) k-way-merges the workers' traces back into a
-// single causally-ordered global observation (MergeStageTraces) and
+// single causally-ordered global observation (MergeTraces) and
 // re-verifies the whole run against the sequential reference.
 package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
-	"naspipe/internal/supernet"
 	"naspipe/internal/trace"
 	"naspipe/internal/transport"
 )
@@ -200,7 +200,7 @@ func FilterTrace(tr *trace.Trace, stages []int) *trace.Trace {
 	return out
 }
 
-// MergeStageTraces reconstructs a valid global emission order from the
+// MergeTraces reconstructs a valid global emission order from the
 // workers' local observed traces: a topological k-way merge over the
 // run's causal DAG. The DAG's edges are each worker's local emission
 // order, the per-subnet pipeline chain (READs walk the stages
@@ -210,11 +210,11 @@ func FilterTrace(tr *trace.Trace, stages []int) *trace.Trace {
 // wall-clock order is a linear extension of exactly that DAG — the
 // chain is the pipeline's dataflow and the per-layer order is what
 // each stage's csp.Scheduler enforces at admission via cross-stage
-// MarkWritten notes — so the merge always completes and always
-// satisfies the replay trainer's global-order constraint. Rank in the
-// canonical causal order breaks ties deterministically (ranks are
-// unique per access, so the result is independent of the order parts
-// are passed in).
+// MarkWritten notes — so the merge of a real run's traces always
+// completes and always satisfies the replay trainer's global-order
+// constraint. Rank in the canonical causal order breaks ties
+// deterministically (ranks are unique per access, so the result is
+// independent of the order parts are passed in).
 //
 // Rank alone would not be safe: under out-of-order forwarding a stage
 // legally runs F(p) before F(q) with p > q while stage D-1 retires
@@ -225,136 +225,203 @@ func FilterTrace(tr *trace.Trace, stages []int) *trace.Trace {
 // on stage 0 for subnet p and stage 1 for subnet q — two different
 // workers whose local orders say nothing about each other. Only the
 // per-layer gate restores that cross-worker edge.
-func MergeStageTraces(depth, base int, parts []*trace.Trace) *trace.Trace {
-	rank := func(ev trace.Event) int {
-		seq := ev.Subnet - base
+//
+// Parts that contradict the DAG — a corrupt or truncated worker trace —
+// leave no worker with a placeable next event. MergeTraces then returns
+// the prefix it placed and a *MergeStallError naming every blocked
+// head. Events outside the run's shape (a subnet below base or beyond
+// what the events can cover, a stage outside [0, depth)) are rejected
+// up front.
+//
+// The chains are dense slices: subnets indexed by seq-base, layers by
+// trace.DenseLayers.
+func MergeTraces(depth, base int, parts []*trace.Trace) (*trace.Trace, error) {
+	nq, total := 0, 0
+	lists := make([][]trace.Event, len(parts))
+	for p, tr := range parts {
+		lists[p] = tr.Events
+		for i, ev := range tr.Events {
+			var bad string
+			switch {
+			case ev.Subnet < base:
+				bad = fmt.Sprintf("subnet %d below base %d", ev.Subnet, base)
+			case ev.Stage < 0 || ev.Stage >= depth:
+				bad = fmt.Sprintf("stage %d outside depth %d", ev.Stage, depth)
+			case ev.Kind != trace.Read && ev.Kind != trace.Write:
+				bad = fmt.Sprintf("unknown access kind %d", ev.Kind)
+			}
+			if bad != "" {
+				return nil, fmt.Errorf("engine: trace merge: part %d event %d: %s", p, i, bad)
+			}
+			nq = max(nq, ev.Subnet-base+1)
+			total++
+		}
+	}
+	if nq > total {
+		// Every subnet of a run emits accesses, so the sequence range
+		// cannot outgrow the events; a stray ID must not size the tables.
+		return nil, fmt.Errorf("engine: trace merge: subnets span %d sequence IDs from base %d but the parts hold only %d events", nq, base, total)
+	}
+	// A subnet's chain has 2*depth slots: READ at stage k is slot k,
+	// WRITE at stage k is slot 2*depth-1-k. count holds how many
+	// accesses each (subnet, slot) group has; empty groups are skipped.
+	slots := 2 * depth
+	slot := func(ev trace.Event) int {
 		if ev.Kind == trace.Read {
-			return seq*2*depth + ev.Stage
+			return ev.Stage
 		}
-		return seq*2*depth + depth + (depth - 1 - ev.Stage)
+		return slots - 1 - ev.Stage
 	}
-	// Per-subnet causal chains over the (kind, stage) groups that
-	// actually occur — a subnet with an empty partition on some stage
-	// simply has no group there. The chain orders each subnet's READs
-	// downstream then its WRITEs upstream; an access is eligible when
-	// its group is the subnet's current chain position, which encodes
-	// both pipeline causality and reads-before-first-write.
-	type group struct {
-		kind  trace.AccessKind
-		stage int
-	}
-	counts := make(map[int]map[group]int)
+	count := make([]int, nq*slots)
+	layer, nl := trace.DenseLayers(lists...)
+	// A layer's chain is its (subnet, kind) groups — key 2*(seq-base)+kind
+	// — ascending. For one subnet a layer lives on one stage, so each
+	// group comes from one worker and group-internal order is that
+	// worker's local order. keys is bucketed by dense layer index:
+	// lstart[l] is where layer l's bucket begins.
+	lstart := make([]int, nl+1)
 	for _, tr := range parts {
 		for _, ev := range tr.Events {
-			q := ev.Subnet - base
-			if counts[q] == nil {
-				counts[q] = make(map[group]int)
-			}
-			counts[q][group{ev.Kind, ev.Stage}]++
+			count[(ev.Subnet-base)*slots+slot(ev)]++
+			lstart[layer(ev.Layer)+1]++
 		}
 	}
-	chains := make(map[int][]group, len(counts))
-	for q, gs := range counts {
-		var chain []group
-		for k := 0; k < depth; k++ {
-			if gs[group{trace.Read, k}] > 0 {
-				chain = append(chain, group{trace.Read, k})
-			}
-		}
-		for k := depth - 1; k >= 0; k-- {
-			if gs[group{trace.Write, k}] > 0 {
-				chain = append(chain, group{trace.Write, k})
-			}
-		}
-		chains[q] = chain
+	for l := 1; l <= nl; l++ {
+		lstart[l] += lstart[l-1]
 	}
-	// Per-layer CSP chains over the (subnet, kind) groups that occur on
-	// each layer, in the sequential order Definition 1 fixes: subnets
-	// ascending, READs before WRITEs within a subnet. For one subnet a
-	// layer lives on one stage, so each group comes from one worker and
-	// group-internal order is that worker's local order.
-	type lgroup struct {
-		seq  int
-		kind trace.AccessKind
-	}
-	lcounts := make(map[supernet.LayerID]map[lgroup]int)
+	keys := make([]int, total)
+	fill := append([]int(nil), lstart[:nl]...)
 	for _, tr := range parts {
 		for _, ev := range tr.Events {
-			if lcounts[ev.Layer] == nil {
-				lcounts[ev.Layer] = make(map[lgroup]int)
-			}
-			lcounts[ev.Layer][lgroup{ev.Subnet - base, ev.Kind}]++
+			l := layer(ev.Layer)
+			keys[fill[l]] = 2*(ev.Subnet-base) + int(ev.Kind)
+			fill[l]++
 		}
 	}
-	lchains := make(map[supernet.LayerID][]lgroup, len(lcounts))
-	for l, gs := range lcounts {
-		seqs := make([]int, 0, len(gs))
-		seen := make(map[int]bool, len(gs))
-		for g := range gs {
-			if !seen[g.seq] {
-				seen[g.seq] = true
-				seqs = append(seqs, g.seq)
+	// Run-length encode each sorted bucket into (key, size) groups.
+	// groups holds every layer's chain back to back; lpos[l] is layer
+	// l's cursor into it, starting at the layer's first group.
+	type lgroup struct{ key, n int }
+	groups := make([]lgroup, 0, total)
+	lpos := make([]int, nl)
+	for l := 0; l < nl; l++ {
+		bucket := keys[lstart[l]:lstart[l+1]]
+		slices.Sort(bucket)
+		lpos[l] = len(groups)
+		for i, k := range bucket {
+			if i > 0 && k == bucket[i-1] {
+				groups[len(groups)-1].n++
+				continue
 			}
+			groups = append(groups, lgroup{k, 1})
 		}
-		sort.Ints(seqs)
-		chain := make([]lgroup, 0, len(gs))
-		for _, q := range seqs {
-			if gs[lgroup{q, trace.Read}] > 0 {
-				chain = append(chain, lgroup{q, trace.Read})
-			}
-			if gs[lgroup{q, trace.Write}] > 0 {
-				chain = append(chain, lgroup{q, trace.Write})
-			}
-		}
-		lchains[l] = chain
 	}
-	lpos := make(map[supernet.LayerID]int, len(lchains))
-	lemitted := make(map[supernet.LayerID]map[lgroup]int, len(lchains))
-	pos := make(map[int]int, len(chains))
-	emitted := make(map[int]map[group]int, len(chains))
+	nextSlot := func(q, from int) int {
+		for from < slots && count[q*slots+from] == 0 {
+			from++
+		}
+		return from
+	}
+	spos := make([]int, nq) // each subnet's current chain slot
+	for q := range spos {
+		spos[q] = nextSlot(q, 0)
+	}
+	semitted := make([]int, nq) // accesses placed from the current slot
+	lemitted := make([]int, nl) // accesses placed from the current group
 	idx := make([]int, len(parts))
-	out := &trace.Trace{}
-	for {
+	out := &trace.Trace{Events: make([]trace.Event, 0, total)}
+	for len(out.Events) < total {
 		best, bestRank := -1, 0
 		for i, tr := range parts {
 			if idx[i] >= len(tr.Events) {
 				continue
 			}
 			ev := tr.Events[idx[i]]
-			q := ev.Subnet - base
-			if chains[q][pos[q]] != (group{ev.Kind, ev.Stage}) {
+			q, sl := ev.Subnet-base, slot(ev)
+			if spos[q] != sl || groups[lpos[layer(ev.Layer)]].key != 2*q+int(ev.Kind) {
 				continue
 			}
-			if lchains[ev.Layer][lpos[ev.Layer]] != (lgroup{q, ev.Kind}) {
-				continue
-			}
-			if r := rank(ev); best < 0 || r < bestRank {
+			if r := q*slots + sl; best < 0 || r < bestRank {
 				best, bestRank = i, r
 			}
 		}
 		if best < 0 {
-			return out
+			stall := &MergeStallError{Merged: len(out.Events), Total: total}
+			for i, tr := range parts {
+				if idx[i] >= len(tr.Events) {
+					continue
+				}
+				ev := tr.Events[idx[i]]
+				q := ev.Subnet - base
+				// A pending event's own group is non-empty, so neither
+				// chain has run out.
+				h := MergeHead{Part: i, Event: ev}
+				if sl := spos[q]; sl < depth {
+					h.SubnetAt = fmt.Sprintf("F@%d", sl)
+				} else {
+					h.SubnetAt = fmt.Sprintf("B@%d", slots-1-sl)
+				}
+				g := groups[lpos[layer(ev.Layer)]]
+				h.LayerAt = fmt.Sprintf("%d%v", g.key/2+base, trace.AccessKind(g.key%2))
+				stall.Heads = append(stall.Heads, h)
+			}
+			return out, stall
 		}
 		ev := parts[best].Events[idx[best]]
 		idx[best]++
 		ev.Order = len(out.Events)
 		out.Events = append(out.Events, ev)
-		q := ev.Subnet - base
-		g := group{ev.Kind, ev.Stage}
-		if emitted[q] == nil {
-			emitted[q] = make(map[group]int)
+		q, sl := ev.Subnet-base, slot(ev)
+		if semitted[q]++; semitted[q] == count[q*slots+sl] {
+			semitted[q] = 0
+			spos[q] = nextSlot(q, sl+1)
 		}
-		emitted[q][g]++
-		if emitted[q][g] == counts[q][g] {
-			pos[q]++
-		}
-		lg := lgroup{q, ev.Kind}
-		if lemitted[ev.Layer] == nil {
-			lemitted[ev.Layer] = make(map[lgroup]int)
-		}
-		lemitted[ev.Layer][lg]++
-		if lemitted[ev.Layer][lg] == lcounts[ev.Layer][lg] {
-			lpos[ev.Layer]++
+		if l := layer(ev.Layer); lemitted[l]+1 == groups[lpos[l]].n {
+			lemitted[l] = 0
+			lpos[l]++
+		} else {
+			lemitted[l]++
 		}
 	}
+	return out, nil
+}
+
+// MergeStageTraces is MergeTraces for callers that verify the merged
+// trace themselves (a per-layer comparison against the canonical order
+// catches a short merge): on a stall it returns the placed prefix and
+// drops the error.
+func MergeStageTraces(depth, base int, parts []*trace.Trace) *trace.Trace {
+	out, _ := MergeTraces(depth, base, parts)
+	if out == nil {
+		out = &trace.Trace{}
+	}
+	return out
+}
+
+// MergeStallError reports a trace merge in which no worker's next event
+// could be placed: the parts contradict the run's causal DAG, so no
+// valid global order exists. Merged of Total events were placed first.
+type MergeStallError struct {
+	Merged, Total int
+	Heads         []MergeHead // one per worker with events left
+}
+
+// MergeHead is one worker's next unplaced event and where the two chains
+// gating it stand. SubnetAt is the (kind, stage) group the event's
+// subnet must finish first, e.g. "F@2" or "B@0"; LayerAt is the
+// (subnet, kind) group the event's layer must finish first, e.g. "5B".
+type MergeHead struct {
+	Part              int
+	Event             trace.Event
+	SubnetAt, LayerAt string
+}
+
+func (e *MergeStallError) Error() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "engine: trace merge stalled after %d of %d events; no worker's next event is placeable:", e.Merged, e.Total)
+	for _, h := range e.Heads {
+		fmt.Fprintf(&b, " [part %d next %d%v@%d on layer %d: subnet chain at %s, layer chain at %s]",
+			h.Part, h.Event.Subnet, h.Event.Kind, h.Event.Stage, h.Event.Layer, h.SubnetAt, h.LayerAt)
+	}
+	return b.String()
 }

@@ -110,8 +110,11 @@ func TestDistSplitWorkersVerifyAndMerge(t *testing.T) {
 	}
 
 	seq := run(t, "sequential", cfg)
-	merged := engine.MergeStageTraces(d, cfg.SeqBase,
+	merged, err := engine.MergeTraces(d, cfg.SeqBase,
 		[]*trace.Trace{results[0].ObservedTrace, results[1].ObservedTrace})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(merged.Events) != len(seq.Trace.Events) {
 		t.Fatalf("merged trace has %d events, sequential reference %d",
 			len(merged.Events), len(seq.Trace.Events))
@@ -133,8 +136,11 @@ func TestDistSplitWorkersVerifyAndMerge(t *testing.T) {
 	}
 
 	// The merge is independent of the order workers report in.
-	swapped := engine.MergeStageTraces(d, cfg.SeqBase,
+	swapped, err := engine.MergeTraces(d, cfg.SeqBase,
 		[]*trace.Trace{results[1].ObservedTrace, results[0].ObservedTrace})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !swapped.Equal(merged) {
 		t.Fatal("merge result depends on the order of worker traces")
 	}
@@ -196,7 +202,10 @@ func TestMergeCrossStageLayerSharing(t *testing.T) {
 		}
 		traces[k] = results[k].ObservedTrace
 	}
-	merged := engine.MergeStageTraces(d, 0, traces)
+	merged, err := engine.MergeTraces(d, 0, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(merged.Events) != len(ref.Trace.Events) {
 		t.Fatalf("merged %d events, canonical %d — the merge stalled", len(merged.Events), len(ref.Trace.Events))
 	}
@@ -243,7 +252,10 @@ func TestMergeStageTracesHandlesOutOfOrderForwarding(t *testing.T) {
 		ev(trace.Read, 2, 1, 1),  // wall-clock had F(0)@0 before this, but worker 1
 		ev(trace.Write, 2, 1, 1), // cannot know; only the merge restores causality.
 	}}
-	merged := engine.MergeStageTraces(2, 0, []*trace.Trace{worker0, worker1})
+	merged, err := engine.MergeTraces(2, 0, []*trace.Trace{worker0, worker1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(merged.Events) != 8 {
 		t.Fatalf("merged %d events, want 8", len(merged.Events))
 	}

@@ -152,7 +152,7 @@ func (c Checkpoint) Save(path string) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
-		return fmt.Errorf("fault: checkpoint temp file: %w", err)
+		return fmt.Errorf("fault: checkpoint save %s: temp file: %w", path, err)
 	}
 	tmp := f.Name()
 	_, werr := f.Write(c.Encode())
@@ -192,13 +192,22 @@ type Cut struct {
 // Recorder receives consistency cuts from the engine as the stage-0
 // backward frontier advances. Implementations decide persistence policy
 // (throttling, destinations); Snapshot errors abort the run.
+//
+// The engine calls Snapshot from one committer goroutine, one cut at a
+// time, with cursors that only move forward. It may skip cuts: when a
+// newer cut arrives before the previous one was handed over, only the
+// newer one is, because it covers the older. Every run hands over its
+// last cut before it returns.
 type Recorder interface {
 	Snapshot(Cut) error
 }
 
-// FileRecorder persists cuts to a checkpoint file, throttled to every
-// Nth cursor advance (the final cut — cursor == NumSubnets — is always
-// written). An optional weight function attaches the sequential-prefix
+// FileRecorder persists cuts to a checkpoint file, throttled to a save
+// once the cursor has moved at least N past the last saved one (the
+// final cut — cursor == NumSubnets — is always written). The rule looks
+// at distance, not at multiples of N, because cursors jump: an
+// out-of-order finish that fills a frontier gap, or cuts the engine
+// merged, can step right over a multiple. An optional weight function attaches the sequential-prefix
 // weight checksum to each saved snapshot.
 type FileRecorder struct {
 	mu       sync.Mutex
@@ -207,18 +216,19 @@ type FileRecorder struct {
 	every    int
 	weightFn func(cursor int) uint64 // nil = no weight checksums
 	saves    int
+	saved    int // cursor of the last save (the starting cursor before any)
 }
 
 // NewFileRecorder builds a recorder writing to path. ident carries the
 // run identity (and, on resume, the starting cursor/incarnation); every
-// throttles persistence to one save per `every` cursor advances (<=1
-// saves every cut); weightFn, when non-nil, supplies the weight
+// throttles persistence to one save per `every` cursors of progress
+// (<=1 saves every cut); weightFn, when non-nil, supplies the weight
 // checksum for a cursor and is invoked only for cuts actually saved.
 func NewFileRecorder(path string, ident Checkpoint, every int, weightFn func(int) uint64) *FileRecorder {
 	if every < 1 {
 		every = 1
 	}
-	return &FileRecorder{path: path, ckpt: ident, every: every, weightFn: weightFn}
+	return &FileRecorder{path: path, ckpt: ident, every: every, weightFn: weightFn, saved: ident.Cursor}
 }
 
 // Init persists the recorder's initial state, so a crash before the
@@ -242,7 +252,7 @@ func (r *FileRecorder) Snapshot(cut Cut) error {
 	r.ckpt.Finished = append([]int(nil), cut.Finished...)
 	sort.Ints(r.ckpt.Finished)
 	final := cut.Cursor >= r.ckpt.NumSubnets
-	if !final && cut.Cursor%r.every != 0 {
+	if !final && cut.Cursor-r.saved < r.every {
 		return nil
 	}
 	return r.save()
@@ -283,5 +293,6 @@ func (r *FileRecorder) save() error {
 		return err
 	}
 	r.saves++
+	r.saved = r.ckpt.Cursor
 	return nil
 }

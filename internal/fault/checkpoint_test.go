@@ -117,6 +117,32 @@ func TestFileRecorderThrottleAndFinalCut(t *testing.T) {
 	}
 }
 
+// TestFileRecorderThrottleByDistance pins the throttle to progress,
+// not multiples: the stage-0 frontier jumps when an out-of-order finish
+// fills a gap, and the engine merges cuts, so a cursor can step over
+// every multiple of the interval. A save is due once the cursor is at
+// least `every` past the last saved one.
+func TestFileRecorderThrottleByDistance(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.bin")
+	r := NewFileRecorder(path, Checkpoint{Space: "s", NumSubnets: 10}, 4, nil)
+	if err := r.Init(); err != nil {
+		t.Fatal(err)
+	}
+	var savedAt []int
+	for _, cur := range []int{3, 5, 9, 10} {
+		before := r.Saves()
+		if err := r.Snapshot(Cut{Cursor: cur}); err != nil {
+			t.Fatal(err)
+		}
+		if r.Saves() > before {
+			savedAt = append(savedAt, cur)
+		}
+	}
+	if !reflect.DeepEqual(savedAt, []int{5, 9, 10}) {
+		t.Fatalf("saved at cursors %v, want [5 9 10]", savedAt)
+	}
+}
+
 func TestFileRecorderIgnoresStaleCuts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.bin")
 	r := NewFileRecorder(path, Checkpoint{NumSubnets: 10, Cursor: 5}, 1, nil)

@@ -86,7 +86,8 @@ func (t *Trace) LayerEvents(layer supernet.LayerID) []Event {
 }
 
 // LayerOrder renders the access/update order of one layer in the paper's
-// Table 4 notation, e.g. "2F-2B-5F-5B-7F-7B".
+// Table 4 notation, e.g. "2F-2B-5F-5B-7F-7B". It is for display only:
+// verification compares traces with PerLayerEqual, not these strings.
 func (t *Trace) LayerOrder(layer supernet.LayerID) string {
 	evs := t.LayerEvents(layer)
 	parts := make([]string, len(evs))
@@ -175,21 +176,80 @@ func (t *Trace) Equal(o *Trace) bool {
 // PerLayerEqual reports whether two traces agree on the access order of
 // every layer — the relation that determines numeric equality of results
 // even when globally the traces interleave independent layers differently.
+//
+// It groups t by layer in one counting-sort pass, then walks o once,
+// comparing each event's (subnet, kind) against the next entry of its
+// layer's group: linear in the trace length.
 func (t *Trace) PerLayerEqual(o *Trace) bool {
-	layers := t.Layers()
-	oLayers := o.Layers()
-	if len(layers) != len(oLayers) {
+	n := len(t.Events)
+	if n != len(o.Events) {
 		return false
 	}
-	for i := range layers {
-		if layers[i] != oLayers[i] {
+	if n == 0 {
+		return true
+	}
+	slot, slots := DenseLayers(t.Events, o.Events)
+	// start[s] is where slot s's group begins in keys; start[slots] = n.
+	start := make([]int, slots+1)
+	for _, e := range t.Events {
+		start[slot(e.Layer)+1]++
+	}
+	for s := 1; s <= slots; s++ {
+		start[s] += start[s-1]
+	}
+	type access struct {
+		subnet int
+		kind   AccessKind
+	}
+	keys := make([]access, n)
+	next := append([]int(nil), start[:slots]...)
+	for _, e := range t.Events {
+		s := slot(e.Layer)
+		keys[next[s]] = access{e.Subnet, e.Kind}
+		next[s]++
+	}
+	copy(next, start[:slots])
+	for _, e := range o.Events {
+		s := slot(e.Layer)
+		if next[s] == start[s+1] || keys[next[s]] != (access{e.Subnet, e.Kind}) {
 			return false
 		}
+		next[s]++
 	}
-	for _, l := range layers {
-		if t.LayerOrder(l) != o.LayerOrder(l) {
-			return false
-		}
-	}
+	// Equal lengths and no group overran: every group matched in full.
 	return true
+}
+
+// DenseLayers maps the layers that occur in the given event lists onto
+// dense indices [0, n), for tables indexed by layer. A run's layer IDs
+// are a dense range, so the mapping is normally an offset; a sparse
+// range (a corrupt or hand-built trace) falls back to a hash map, so a
+// stray ID cannot size the tables.
+func DenseLayers(lists ...[]Event) (index func(supernet.LayerID) int, n int) {
+	total, seen := 0, false
+	var lo, hi supernet.LayerID
+	for _, evs := range lists {
+		total += len(evs)
+		for _, e := range evs {
+			if !seen {
+				lo, hi, seen = e.Layer, e.Layer, true
+			}
+			lo, hi = min(lo, e.Layer), max(hi, e.Layer)
+		}
+	}
+	if !seen {
+		return func(supernet.LayerID) int { return 0 }, 0
+	}
+	if span := int(hi - lo); span >= 0 && span < total+64 {
+		return func(l supernet.LayerID) int { return int(l - lo) }, span + 1
+	}
+	ids := make(map[supernet.LayerID]int)
+	for _, evs := range lists {
+		for _, e := range evs {
+			if _, ok := ids[e.Layer]; !ok {
+				ids[e.Layer] = len(ids)
+			}
+		}
+	}
+	return func(l supernet.LayerID) int { return ids[l] }, len(ids)
 }
