@@ -110,19 +110,23 @@ func (c *Coordinator) state() (cursor, incarnation int) {
 }
 
 // record applies a stage-0 consistency cut: the in-memory cursor
-// always advances (re-admission after a kill needs it even without a
-// checkpoint file), and the file recorder persists when configured.
-func (c *Coordinator) record(cut fault.Cut) error {
+// advances at once (re-admission after a kill needs it even without a
+// checkpoint file), and the cut goes to the incarnation's committer when
+// there is a checkpoint file to persist it to.
+func (c *Coordinator) record(cut fault.Cut, st *fleetState) {
 	c.mu.Lock()
 	if cut.Cursor > c.cursor {
 		c.cursor = cut.Cursor
 	}
-	rec := c.rec
 	c.mu.Unlock()
-	if rec != nil {
-		return rec.Snapshot(cut)
+	if st.commit != nil {
+		st.commit.Offer(cut)
 	}
-	return nil
+}
+
+// recorderErr attributes a failed checkpoint save to the recorder.
+func recorderErr(err error) error {
+	return fmt.Errorf("distrib: checkpoint recorder: %w", err)
 }
 
 // bump rolls the incarnation after an incident so the relaunched fleet
@@ -230,8 +234,15 @@ type fleetState struct {
 	allDone chan struct{}
 	deaths  chan workerExit
 	failed  chan *transport.Failed
-	// recFailed carries the first failed checkpoint save; the run
-	// fails on it rather than finishing on a stale checkpoint file.
+	// exited[k] closes when stage k's process has exited. The watcher
+	// goroutine is the only caller of Wait; everyone else waits here.
+	exited []chan struct{}
+
+	// commit saves the incarnation's cuts to the checkpoint file off
+	// the relay pump (nil without a checkpoint path). recFailed carries
+	// its first failed save; the run fails on it rather than finishing
+	// on a stale checkpoint file.
+	commit    *fault.Committer
 	recFailed chan error
 }
 
@@ -244,7 +255,11 @@ func newFleetState(gpus int) *fleetState {
 		allDone:   make(chan struct{}),
 		deaths:    make(chan workerExit, gpus),
 		failed:    make(chan *transport.Failed, gpus),
+		exited:    make([]chan struct{}, gpus),
 		recFailed: make(chan error, 1),
+	}
+	for k := range st.exited {
+		st.exited[k] = make(chan struct{})
 	}
 	now := time.Now()
 	for k := range st.beats {
@@ -361,6 +376,24 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 	}()
 
 	st := newFleetState(gpus)
+	if c.rec != nil {
+		st.commit = fault.StartCommitter(c.rec, nil, func(err error) {
+			st.recFailed <- recorderErr(err) // called at most once
+		})
+	}
+	// drain hands the last relayed cut to the checkpoint file. Every
+	// exit drains after the pumps stop and before bump or finish, so
+	// the file's cursor matches the in-memory one from then on.
+	drain := func() error {
+		if st.commit == nil {
+			return nil
+		}
+		if err := st.commit.Drain(); err != nil {
+			return recorderErr(err)
+		}
+		return nil
+	}
+	defer drain()
 	go c.acceptLoop(ctx, ln, links, gpus, cursor, incNo, st)
 	var pumps sync.WaitGroup
 	for k := range links {
@@ -384,6 +417,7 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 		procs[k] = p
 		go func(k int, p Process) {
 			werr := p.Wait()
+			close(st.exited[k])
 			select {
 			case st.deaths <- workerExit{stage: k, err: werr}:
 			case <-ctx.Done():
@@ -394,13 +428,32 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 
 	deadTick := time.NewTicker(c.cfg.DeadAfter / 4)
 	defer deadTick.Stop()
-	incident := func(stage int, why string) (engine.Result, error) {
-		c.logf("coordinator: incarnation %d: stage %d died (%s); tearing fleet down", incNo, stage, why)
+	// teardown kills the fleet, stops the relay pumps and drains the
+	// committer. A failed save is not survivable by relaunch — the next
+	// incarnation would save to the same place — so its error wins.
+	teardown := func(why string) error {
 		c.killFleet(procs, links, why)
 		cancel()
 		pumps.Wait()
+		return drain()
+	}
+	// restart tears the fleet down after a crash and bumps the
+	// incarnation so the relaunched fleet draws a fresh fault schedule.
+	restart := func(why string) error {
+		if err := teardown(why); err != nil {
+			return err
+		}
 		if berr := c.bump(); berr != nil {
-			return res, fmt.Errorf("distrib: recording crash incarnation: %w", berr)
+			return fmt.Errorf("distrib: recording crash incarnation: %w", berr)
+		}
+		return nil
+	}
+	// died converts a worker death into the *fault.CrashError the
+	// supervision plane resumes from, at the committed cursor.
+	died := func(stage int, why string) (engine.Result, error) {
+		c.logf("coordinator: incarnation %d: stage %d died (%s); tearing fleet down", incNo, stage, why)
+		if err := restart(why); err != nil {
+			return res, err
 		}
 		cur, _ := c.state()
 		return res, &fault.CrashError{Stage: stage, Seq: cur, Incarnation: incNo}
@@ -408,67 +461,50 @@ func (c *Coordinator) incarnate(parent context.Context, gpus int, probe *engine.
 	for {
 		select {
 		case <-parent.Done():
-			c.killFleet(procs, links, "interrupted")
-			cancel()
-			pumps.Wait()
+			if err := teardown("interrupted"); err != nil {
+				return res, err
+			}
 			if berr := c.bump(); berr != nil {
 				return res, berr
 			}
 			return res, parent.Err()
 		case <-st.allDone:
 			c.broadcast(links, "complete")
-			c.reapFleet(procs)
+			c.reapFleet(procs, st.exited)
 			cancel()
 			pumps.Wait()
-			select {
-			case err := <-st.recFailed: // a save that failed after the last Done
+			if err := drain(); err != nil { // a save that failed after the last Done
 				return res, err
-			default:
 			}
 			return c.finish(res, gpus, cursor, st, start)
 		case err := <-st.recFailed:
-			// Not survivable by relaunch: the next incarnation would
-			// save to the same place.
-			c.killFleet(procs, links, "checkpoint save failed")
-			cancel()
-			pumps.Wait()
+			teardown("checkpoint save failed") // its drain returns this same err
 			return res, err
 		case f := <-st.failed:
 			if f.Kind == "crash" {
-				return res, c.incidentErr(procs, links, &pumps, cancel,
-					&fault.CrashError{Stage: f.Stage, Seq: f.Seq, Kind: 0, Incarnation: f.Incarnation})
+				c.logf("coordinator: stage %d reported crash at seq %d; tearing fleet down", f.Stage, f.Seq)
+				if err := restart("fleet restart"); err != nil {
+					return res, err
+				}
+				return res, &fault.CrashError{Stage: f.Stage, Seq: f.Seq, Kind: 0, Incarnation: f.Incarnation}
 			}
 			// A non-crash worker failure (spec rejected, transport
 			// poisoned) is not survivable by relaunch.
-			c.killFleet(procs, links, "worker failed")
-			cancel()
-			pumps.Wait()
+			if err := teardown("worker failed"); err != nil {
+				return res, err
+			}
 			return res, fmt.Errorf("distrib: stage %d failed: %s", f.Stage, f.Msg)
 		case we := <-st.deaths:
 			if st.isDone(we.stage) {
 				continue // clean exit after Done — expected
 			}
-			return incident(we.stage, fmt.Sprintf("process exited: %v", we.err))
+			return died(we.stage, fmt.Sprintf("process exited: %v", we.err))
 		case <-deadTick.C:
 			if k := st.deadStage(c.cfg.DeadAfter); k >= 0 {
-				return incident(k, fmt.Sprintf("no heartbeat for %v", c.cfg.DeadAfter))
+				return died(k, fmt.Sprintf("no heartbeat for %v", c.cfg.DeadAfter))
 			}
 		}
 	}
-}
-
-// incidentErr tears the fleet down and returns the crash error after
-// bumping the incarnation — the Failed-frame twin of incident above.
-func (c *Coordinator) incidentErr(procs []Process, links []*transport.Link, pumps *sync.WaitGroup,
-	cancel context.CancelFunc, crash *fault.CrashError) error {
-	c.logf("coordinator: stage %d reported crash at seq %d; tearing fleet down", crash.Stage, crash.Seq)
-	c.killFleet(procs, links, "fleet restart")
-	cancel()
-	pumps.Wait()
-	if berr := c.bump(); berr != nil {
-		return fmt.Errorf("distrib: recording crash incarnation: %w", berr)
-	}
-	return crash
 }
 
 // finish assembles the incarnation's Result from the fleet's Done
@@ -531,26 +567,22 @@ func (c *Coordinator) killFleet(procs []Process, links []*transport.Link, why st
 }
 
 // reapFleet waits briefly for clean worker exits after a release
-// broadcast, then kills stragglers.
-func (c *Coordinator) reapFleet(procs []Process) {
-	deadline := time.After(2 * time.Second)
-	done := make(chan struct{})
-	go func() {
-		for _, p := range procs {
-			if p != nil {
-				p.Wait()
+// broadcast, then kills stragglers. It waits on the watchers' exited
+// channels: each process's watcher goroutine is its only Wait caller.
+func (c *Coordinator) reapFleet(procs []Process, exited []chan struct{}) {
+	deadline := time.NewTimer(2 * time.Second)
+	defer deadline.Stop()
+	late := false
+	for k, p := range procs {
+		if !late {
+			select {
+			case <-exited[k]:
+				continue
+			case <-deadline.C:
+				late = true
 			}
 		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-deadline:
-		for _, p := range procs {
-			if p != nil {
-				p.Kill()
-			}
-		}
+		p.Kill()
 	}
 }
 
@@ -633,14 +665,8 @@ func (c *Coordinator) pump(ctx context.Context, k int, links []*transport.Link,
 			case transport.FrameFwd, transport.FrameBwd, transport.FrameNote, transport.FrameFetch:
 				c.route(links, f)
 			case transport.FrameCut:
-				cut, err := transport.DecodeCut(f.Payload)
-				if err == nil {
-					if rerr := c.record(cut); rerr != nil {
-						select {
-						case st.recFailed <- fmt.Errorf("distrib: checkpoint recorder: %w", rerr):
-						default: // an earlier failure already fails the run
-						}
-					}
+				if cut, err := transport.DecodeCut(f.Payload); err == nil {
+					c.record(cut, st)
 				}
 			case transport.FrameHeartbeat:
 				h, err := transport.DecodeHeartbeat(f.Payload)

@@ -37,7 +37,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"sync"
 
 	"naspipe/internal/telemetry"
 )
@@ -53,9 +52,13 @@ type WorkerSpec struct {
 }
 
 // Process is a launched worker. Wait blocks until the worker exits and
-// returns its terminal error; Kill terminates it abruptly (SIGKILL for
-// real processes) — the worker gets no chance to say goodbye, which is
-// the point: recovery must not depend on clean shutdown.
+// returns its terminal error; the coordinator calls it exactly once per
+// process, from one watcher goroutine, and everything else that needs
+// the exit waits on that watcher. Kill terminates the worker abruptly
+// (SIGKILL for real processes) — the worker gets no chance to say
+// goodbye, which is the point: recovery must not depend on clean
+// shutdown. Kill may be called at any time, also concurrently with Wait
+// and after the worker has exited.
 type Process interface {
 	Wait() error
 	Kill() error
@@ -144,26 +147,10 @@ type InProcLauncher struct {
 
 type inprocProcess struct {
 	cancel context.CancelFunc
-	done   chan error
-
-	mu   sync.Mutex
-	err  error
-	dead bool
+	done   chan error // receives the worker's one terminal error
 }
 
-func (p *inprocProcess) Wait() error {
-	p.mu.Lock()
-	if p.dead {
-		defer p.mu.Unlock()
-		return p.err
-	}
-	p.mu.Unlock()
-	err := <-p.done
-	p.mu.Lock()
-	p.err, p.dead = err, true
-	p.mu.Unlock()
-	return err
-}
+func (p *inprocProcess) Wait() error { return <-p.done }
 
 func (p *inprocProcess) Kill() error {
 	p.cancel()

@@ -4,8 +4,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,13 +163,22 @@ func TestFleetSurvivesWorkerKill(t *testing.T) {
 // fleet that gets killed mid-run, stop the whole coordinator, then
 // build a fresh one resuming from the checkpoint file.
 func TestFleetResumeAcrossCoordinators(t *testing.T) {
-	spec := distSpec(t, 10)
+	spec := distSpec(t, 24)
 	spec.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
 
 	// Phase 1: interrupt the run by cancelling the coordinator once
-	// the run is mid-stream.
+	// the run is mid-stream: its first commit is on disk.
 	co1 := coordFor(t, spec, "resume-test")
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	go func() {
+		for ctx.Err() == nil {
+			if ck, err := fault.Load(spec.Checkpoint); err == nil && ck.Cursor >= 1 {
+				cancel()
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	_, _, err := co1.Run(ctx)
 	cancel()
 	if err == nil {
@@ -202,14 +213,27 @@ func TestFleetResumeAcrossCoordinators(t *testing.T) {
 // killingLauncher wraps the in-process launcher and kills the victim
 // stage's first-incarnation worker once the checkpoint at ckpt shows a
 // committed cursor of at least 1 — abruptly, like kill -9: the worker
-// sends nothing, its connection simply dies.
+// sends nothing, its connection simply dies. It also loads the
+// checkpoint file as each later incarnation launches its stage 0.
 type killingLauncher struct {
 	distrib.InProcLauncher
 	victim int
 	ckpt   string
+
+	mu         sync.Mutex
+	relaunches []fault.Checkpoint
 }
 
 func (l *killingLauncher) Start(ctx context.Context, w distrib.WorkerSpec) (distrib.Process, error) {
+	if w.Stage == 0 && w.Incarnation > 0 {
+		ck, err := fault.Load(l.ckpt)
+		if err != nil {
+			return nil, err
+		}
+		l.mu.Lock()
+		l.relaunches = append(l.relaunches, ck)
+		l.mu.Unlock()
+	}
 	p, err := l.InProcLauncher.Start(ctx, w)
 	if err != nil {
 		return nil, err
@@ -272,4 +296,159 @@ func (l *dirRemovingLauncher) Start(ctx context.Context, w distrib.WorkerSpec) (
 		return nil, err
 	}
 	return l.InProcLauncher.Start(ctx, w)
+}
+
+// TestFleetIncidentDrainsBeforeBump: after a worker death the
+// coordinator hands the last relayed cut to the checkpoint file before
+// it bumps the incarnation, so the file the relaunched fleet starts
+// from names the new incarnation and the cursor the fleet resumes at,
+// and the dead incarnation's committer is gone once Run returns.
+func TestFleetIncidentDrainsBeforeBump(t *testing.T) {
+	spec := distSpec(t, 24)
+	spec.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
+	spec.CheckpointEvery = 5
+	spec.Supervise = &naspipe.SuperviseSpec{
+		MaxRestarts: 4, Backoff: naspipe.Duration(time.Millisecond),
+		BackoffMax: naspipe.Duration(5 * time.Millisecond), CrashLoopWindow: 4,
+	}
+	killer := &killingLauncher{
+		InProcLauncher: distrib.InProcLauncher{Log: t.Logf},
+		victim:         1,
+		ckpt:           spec.Checkpoint,
+	}
+	co, err := distrib.NewCoordinator(distrib.CoordConfig{
+		Spec: spec, RunID: "drain-bump-test", Launcher: killer, Log: t.Logf,
+		DeadAfter: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	res, rep, err := co.Run(ctx)
+	if err != nil {
+		t.Fatalf("fleet run with kill: %v\nincidents:\n%s", err, rep.Timeline())
+	}
+	settleGoroutines(t, before)
+	if rep.Restarts < 1 || len(killer.relaunches) != rep.Restarts {
+		t.Fatalf("%d restarts, %d relaunches seen", rep.Restarts, len(killer.relaunches))
+	}
+	last := killer.relaunches[len(killer.relaunches)-1]
+	if last.Incarnation != rep.Restarts || last.Cursor != res.BaseSeq {
+		t.Fatalf("file at relaunch: incarnation %d cursor %d; fleet relaunched as incarnation %d at cursor %d",
+			last.Incarnation, last.Cursor, rep.Restarts, res.BaseSeq)
+	}
+}
+
+// TestFleetCheckpointAtFinalCursor: when Run returns, the checkpoint on
+// disk holds the final cursor and the sequential reference's weight
+// checksum, although saves are throttled and made off the relay pump.
+func TestFleetCheckpointAtFinalCursor(t *testing.T) {
+	spec := distSpec(t, 22)
+	spec.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
+	spec.CheckpointEvery = 4
+	co := coordFor(t, spec, "final-cursor-test")
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if _, _, err := co.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := fault.Load(spec.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, _ := spec.TrainConfig()
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := train.Sequential(tc, cfg.ResolveSubnets()).Checksum
+	if ck.Cursor != spec.Subnets || ck.Incarnation != 0 || ck.WeightChecksum != want {
+		t.Fatalf("on-disk checkpoint: cursor %d incarnation %d weights %016x; want cursor %d incarnation 0 weights %016x",
+			ck.Cursor, ck.Incarnation, ck.WeightChecksum, spec.Subnets, want)
+	}
+}
+
+// countingLauncher counts Wait and Kill calls on every process it
+// starts.
+type countingLauncher struct {
+	distrib.InProcLauncher
+
+	mu    sync.Mutex
+	procs []*countedProcess
+}
+
+type countedProcess struct {
+	distrib.Process
+	stage       int
+	waits, kill atomic.Int32
+}
+
+func (p *countedProcess) Wait() error {
+	p.waits.Add(1)
+	return p.Process.Wait()
+}
+
+func (p *countedProcess) Kill() error {
+	p.kill.Add(1)
+	return p.Process.Kill()
+}
+
+func (l *countingLauncher) Start(ctx context.Context, w distrib.WorkerSpec) (distrib.Process, error) {
+	p, err := l.InProcLauncher.Start(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	cp := &countedProcess{Process: p, stage: w.Stage}
+	l.mu.Lock()
+	l.procs = append(l.procs, cp)
+	l.mu.Unlock()
+	return cp, nil
+}
+
+// TestFleetReapWaitsOnceAndKillsNone: after a clean finish the
+// coordinator reaps the fleet without killing anyone — every worker got
+// the release and exited — and it waits on each process exactly once,
+// leaving no goroutine behind. The counts are exact, not timed.
+func TestFleetReapWaitsOnceAndKillsNone(t *testing.T) {
+	spec := distSpec(t, 12)
+	spec.Checkpoint = filepath.Join(t.TempDir(), "fleet.ckpt")
+	launcher := &countingLauncher{InProcLauncher: distrib.InProcLauncher{Log: t.Logf}}
+	co, err := distrib.NewCoordinator(distrib.CoordConfig{
+		Spec: spec, RunID: "reap-test", Launcher: launcher, Log: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if _, _, err := co.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(launcher.procs) != spec.GPUs {
+		t.Fatalf("%d workers launched, want %d", len(launcher.procs), spec.GPUs)
+	}
+	for _, p := range launcher.procs {
+		if w, k := p.waits.Load(), p.kill.Load(); w != 1 || k != 0 {
+			t.Errorf("stage %d: %d Wait and %d Kill calls, want 1 and 0", p.stage, w, k)
+		}
+	}
+	settleGoroutines(t, before)
+}
+
+// settleGoroutines fails the test unless the goroutine count falls back
+// to before. Goroutines on their way out (closed links, the accept loop,
+// killed workers) may take a moment to exit; a leaked one never does.
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before the run, %d after:\n%s", before, after, buf[:runtime.Stack(buf, true)])
+	}
 }

@@ -211,7 +211,7 @@ type ccRun struct {
 	// Config.Checkpoint off the stage-0 goroutine (nil = no recorder).
 	// lastCut is touched only by the stage-0 goroutine; recErr is set by
 	// the committer's drain after wg.Wait.
-	commit  *committer
+	commit  *fault.Committer
 	lastCut int
 	recErr  error
 
@@ -394,13 +394,13 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 		}(s)
 	}
 	if cfg.Checkpoint != nil {
-		c.commit = startCommitter(cfg.Checkpoint, func(cut fault.Cut) {
+		c.commit = fault.StartCommitter(cfg.Checkpoint, func(cut fault.Cut) {
 			c.tel.Emit(telemetry.Event{
 				Op: telemetry.OpCheckpoint, Phase: telemetry.PhaseInstant,
 				Stage: 0, Worker: telemetry.WorkerStage,
 				Subnet: int32(cut.Cursor), Kind: telemetry.KindNone, Arg: int64(cut.Cursor),
 			})
-		}, func() { c.crashed.Store(true) })
+		}, func(error) { c.crashed.Store(true) })
 	}
 	var wg sync.WaitGroup
 	for _, s := range c.stages {
@@ -417,7 +417,7 @@ func RunConcurrent(ctx context.Context, cfg Config) (Result, error) {
 	if c.commit != nil {
 		// Every exit path passes here: the last offered cut is with the
 		// recorder before RunConcurrent returns.
-		c.recErr = c.commit.drain()
+		c.recErr = c.commit.Drain()
 	}
 	stopPumps()
 	close(stopFetch)
@@ -929,7 +929,7 @@ func (c *ccRun) snapshotCut(s *ccStage) {
 	for _, seq := range s.sched.FinishedSeqs() {
 		cut.Finished = append(cut.Finished, c.base+seq)
 	}
-	c.commit.offer(cut)
+	c.commit.Offer(cut)
 }
 
 // runBackward executes the lowest-sequence ready backward, emits its

@@ -144,10 +144,11 @@ func Decode(buf []byte) (Checkpoint, error) {
 	return c, nil
 }
 
-// Save writes the checkpoint atomically: encode to a temp file in the
-// destination directory, fsync, then rename over the target. A crash
-// mid-save leaves either the old checkpoint or the new one, never a
-// torn file (and Decode's trailing checksum catches torn media writes).
+// Save writes the checkpoint atomically and durably: encode to a temp
+// file in the destination directory, fsync, rename over the target, then
+// fsync the directory so the rename itself survives a power loss. A
+// crash mid-save leaves either the old checkpoint or the new one, never
+// a torn file (and Decode's trailing checksum catches torn media writes).
 func (c Checkpoint) Save(path string) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".ckpt-*")
@@ -169,7 +170,23 @@ func (c Checkpoint) Save(path string) error {
 		os.Remove(tmp)
 		return fmt.Errorf("fault: checkpoint save %s: %w", path, werr)
 	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("fault: checkpoint save %s: directory sync: %w", path, err)
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, committing the entries renamed into it.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load reads and validates a checkpoint file.
@@ -193,11 +210,11 @@ type Cut struct {
 // backward frontier advances. Implementations decide persistence policy
 // (throttling, destinations); Snapshot errors abort the run.
 //
-// The engine calls Snapshot from one committer goroutine, one cut at a
-// time, with cursors that only move forward. It may skip cuts: when a
-// newer cut arrives before the previous one was handed over, only the
-// newer one is, because it covers the older. Every run hands over its
-// last cut before it returns.
+// The engine and the distributed coordinator call Snapshot through a
+// Committer: from one goroutine, one cut at a time, with cursors that
+// only move forward. They may skip cuts: when a newer cut arrives before
+// the previous one was handed over, only the newer one is, because it
+// covers the older. Every run hands over its last cut before it returns.
 type Recorder interface {
 	Snapshot(Cut) error
 }

@@ -59,3 +59,40 @@ func BenchmarkTrainSequential32(b *testing.B) {
 		Sequential(cfg, subs)
 	}
 }
+
+// checksumSink keeps the benchmarked checksums live.
+var checksumSink uint64
+
+// benchCheckpointer is a checkpointer over NLP.c1 (3456 layers) at dim
+// 8 whose stream is long enough for b.N one-subnet advances, primed
+// past its first, full hash.
+func benchCheckpointer(b *testing.B) *Checkpointer {
+	sp := supernet.NLPc1
+	c := NewCheckpointer(benchCfg(sp, 8), supernet.Sample(sp, 1, b.N+1))
+	c.ChecksumAt(1)
+	return c
+}
+
+// BenchmarkChecksumAt measures one checkpoint save's weight checksum
+// the way a run pays for it: advance the sequential prefix by one
+// subnet, then rehash only the layers that subnet changed.
+func BenchmarkChecksumAt(b *testing.B) {
+	c := benchCheckpointer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		checksumSink = c.ChecksumAt(i + 2)
+	}
+}
+
+// BenchmarkChecksumAtRef is BenchmarkChecksumAt with the full
+// Numeric.Checksum recompute the incremental path replaces.
+func BenchmarkChecksumAtRef(b *testing.B) {
+	c := benchCheckpointer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.advance(i + 2)
+		checksumSink = c.net.Checksum()
+	}
+}

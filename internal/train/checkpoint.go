@@ -5,6 +5,7 @@ import (
 
 	"naspipe/internal/data"
 	"naspipe/internal/supernet"
+	"naspipe/internal/tensor"
 )
 
 // Checkpointer incrementally materializes the sequential-prefix weight
@@ -13,7 +14,8 @@ import (
 // ChecksumAt(cursor) is the checksum a fresh Sequential run over
 // subnets[:cursor] would produce; cursors normally arrive monotonically
 // (the engine's frontier only advances) and each call then trains only
-// the delta. A regressed cursor falls back to a from-scratch rebuild.
+// the delta and rehashes only the layers that delta touched. A
+// regressed cursor falls back to a from-scratch rebuild.
 type Checkpointer struct {
 	mu   sync.Mutex
 	cfg  Config
@@ -22,17 +24,37 @@ type Checkpointer struct {
 	src  *data.Source
 	ar   *arena
 	done int // subnets [0, done) are applied to net
+
+	// sums caches each layer's checksum; dirty marks the layers whose
+	// sum is stale (all of them after a rebuild, then the ones SGD
+	// touched). Numeric.Checksum is CombineChecksums over exactly these
+	// sums, in layer-ID order.
+	sums  []uint64
+	dirty []bool
 }
 
 // NewCheckpointer builds a checkpointer over the full subnet stream.
 func NewCheckpointer(cfg Config, subs []supernet.Subnet) *Checkpointer {
 	cfg = cfg.withDefaults()
-	return &Checkpointer{
+	c := &Checkpointer{
 		cfg:  cfg,
 		subs: subs,
-		net:  supernet.BuildNumeric(cfg.Space, cfg.Dim, cfg.Seed),
 		src:  data.NewSource(cfg.Dataset, cfg.Dim, cfg.BatchSize, cfg.Seed),
 		ar:   newArena(cfg.Dim),
+	}
+	c.rebuild()
+	return c
+}
+
+// rebuild resets net to the initial supernet, with every layer's sum
+// stale; callers hold c.mu or own c.
+func (c *Checkpointer) rebuild() {
+	c.net = supernet.BuildNumeric(c.cfg.Space, c.cfg.Dim, c.cfg.Seed)
+	c.done = 0
+	c.sums = make([]uint64, len(c.net.Layer))
+	c.dirty = make([]bool, len(c.net.Layer))
+	for id := range c.dirty {
+		c.dirty[id] = true
 	}
 }
 
@@ -41,12 +63,24 @@ func NewCheckpointer(cfg Config, subs []supernet.Subnet) *Checkpointer {
 func (c *Checkpointer) ChecksumAt(cursor int) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.advance(cursor)
+	for id, d := range c.dirty {
+		if d {
+			c.sums[id] = c.net.Layer[id].Checksum()
+			c.dirty[id] = false
+		}
+	}
+	return tensor.CombineChecksums(c.sums)
+}
+
+// advance brings net to the sequential state after the first cursor
+// subnets; callers hold c.mu.
+func (c *Checkpointer) advance(cursor int) {
 	if cursor > len(c.subs) {
 		cursor = len(c.subs)
 	}
 	if cursor < c.done {
-		c.net = supernet.BuildNumeric(c.cfg.Space, c.cfg.Dim, c.cfg.Seed)
-		c.done = 0
+		c.rebuild()
 	}
 	for ; c.done < cursor; c.done++ {
 		sub := c.subs[c.done]
@@ -57,8 +91,8 @@ func (c *Checkpointer) ChecksumAt(cursor int) uint64 {
 		_, grads := step(c.cfg, c.src.Batch(sub.Seq), sub, views, c.ar)
 		for b, ch := range sub.Choices {
 			c.net.At(b, ch).ApplySGD(grads[b], c.cfg.LR)
+			c.dirty[c.cfg.Space.ID(b, ch)] = true
 		}
 		c.ar.release(grads)
 	}
-	return c.net.Checksum()
 }
